@@ -3,12 +3,15 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 
 	"mlcache/internal/cache"
 	"mlcache/internal/cpu"
 	"mlcache/internal/mainmem"
 	"mlcache/internal/memsys"
 	"mlcache/internal/report"
+	"mlcache/internal/trace"
 )
 
 // The ablations quantify the design decisions the paper asserts but does
@@ -31,33 +34,64 @@ type AblationResult struct {
 	Rows  []AblationRow
 }
 
-func runConfigs(opt Options, title string, configs []struct {
+// labelledConfig is one configuration of an ablation study.
+type labelledConfig struct {
 	label string
 	cfg   memsys.Config
-}) (AblationResult, error) {
+	// flush empties the first level at every context switch, as a
+	// virtually-indexed L1 must.
+	flush bool
+}
+
+// runConfigs simulates every configuration over one materialization of the
+// workload, at most Options.Parallelism (0 = GOMAXPROCS) at a time. Rows
+// keep config order, and of several failures the first in config order is
+// reported.
+func runConfigs(opt Options, title string, configs []labelledConfig) (AblationResult, error) {
 	res := AblationResult{Title: title}
-	for _, c := range configs {
-		h, err := memsys.New(c.cfg)
-		if err != nil {
-			return res, fmt.Errorf("%s / %s: %w", title, c.label, err)
-		}
-		run, err := cpu.Run(h, opt.Stream(), opt.CPU())
-		if err != nil {
-			return res, fmt.Errorf("%s / %s: %w", title, c.label, err)
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Label:   c.label,
-			Run:     run,
-			RelTime: run.RelTime,
-			CPI:     run.CPI,
-		})
+	arena, err := opt.Arena()
+	if err != nil {
+		return res, fmt.Errorf("%s: %w", title, err)
 	}
+	par := opt.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	rows := make([]AblationRow, len(configs))
+	errs := make([]error, len(configs))
+	sem := make(chan struct{}, par)
+	var wg sync.WaitGroup
+	for i, c := range configs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			rows[i], errs[i] = runConfig(opt, arena, c)
+		}()
+	}
+	wg.Wait()
+	for i, c := range configs {
+		if errs[i] != nil {
+			return res, fmt.Errorf("%s / %s: %w", title, c.label, errs[i])
+		}
+	}
+	res.Rows = rows
 	return res, nil
 }
 
-type labelledConfig = struct {
-	label string
-	cfg   memsys.Config
+// runConfig simulates one configuration from a fresh cursor on arena.
+func runConfig(opt Options, arena *trace.Arena, c labelledConfig) (AblationRow, error) {
+	h, err := memsys.New(c.cfg)
+	if err != nil {
+		return AblationRow{}, err
+	}
+	cpuCfg := opt.CPU()
+	cpuCfg.FlushOnSwitch = c.flush
+	run, err := cpu.Run(h, arena.Cursor(), cpuCfg)
+	if err != nil {
+		return AblationRow{}, err
+	}
+	return AblationRow{Label: c.label, Run: run, RelTime: run.RelTime, CPI: run.CPI}, nil
 }
 
 // AblateWriteBuffers varies the write-buffer depth on the base machine.
@@ -73,7 +107,7 @@ func AblateWriteBuffers(opt Options) (AblationResult, error) {
 		if depth == -1 {
 			label = "unbuffered"
 		}
-		configs = append(configs, labelledConfig{label, cfg})
+		configs = append(configs, labelledConfig{label: label, cfg: cfg})
 	}
 	return runConfigs(opt, "write-buffer depth (base machine)", configs)
 }
@@ -84,7 +118,7 @@ func AblateWritePolicy(opt Options) (AblationResult, error) {
 	mk := func(label string, mutate func(*memsys.Config)) labelledConfig {
 		cfg := BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base())
 		mutate(&cfg)
-		return labelledConfig{label, cfg}
+		return labelledConfig{label: label, cfg: cfg}
 	}
 	configs := []labelledConfig{
 		mk("write-back", func(*memsys.Config) {}),
@@ -108,7 +142,7 @@ func AblateL2Block(opt Options) (AblationResult, error) {
 		l2 := L2Config(512*1024, 3*CPUCycleNS, 1)
 		l2.Cache.BlockBytes = block
 		cfg := BaseMachine(4, l2, mainmem.Base())
-		configs = append(configs, labelledConfig{fmt.Sprintf("%dB blocks", block), cfg})
+		configs = append(configs, labelledConfig{label: fmt.Sprintf("%dB blocks", block), cfg: cfg})
 	}
 	return runConfigs(opt, "L2 block size at 512KB (base machine)", configs)
 }
@@ -121,7 +155,7 @@ func AblatePrefetch(opt Options) (AblationResult, error) {
 		cfg.L1I.Prefetch = l1
 		cfg.L1D.Prefetch = l1
 		cfg.Down[0].Prefetch = l2
-		return labelledConfig{label, cfg}
+		return labelledConfig{label: label, cfg: cfg}
 	}
 	configs := []labelledConfig{
 		mk("none", false, false),
@@ -148,10 +182,10 @@ func AblateThirdLevel(opt Options) (AblationResult, error) {
 		return cfg
 	}
 	configs := []labelledConfig{
-		{"2-level, base memory", two(mainmem.Base())},
-		{"3-level, base memory", three(mainmem.Base())},
-		{"2-level, slow memory", two(mainmem.Slow())},
-		{"3-level, slow memory", three(mainmem.Slow())},
+		{label: "2-level, base memory", cfg: two(mainmem.Base())},
+		{label: "3-level, base memory", cfg: three(mainmem.Base())},
+		{label: "2-level, slow memory", cfg: two(mainmem.Slow())},
+		{label: "3-level, slow memory", cfg: three(mainmem.Slow())},
 	}
 	return runConfigs(opt, "hierarchy depth vs memory speed", configs)
 }
@@ -168,13 +202,13 @@ func AblatePageModeDRAM(opt Options) (AblationResult, error) {
 		}
 		cfg := BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mem)
 		cfg.WBCoalesce = coalesce
-		return labelledConfig{label, cfg}
+		return labelledConfig{label: label, cfg: cfg}
 	}
 	wt := func(label string, coalesce bool) labelledConfig {
 		cfg := BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base())
 		cfg.L1D.Cache.Write = cache.WriteThrough
 		cfg.WBCoalesce = coalesce
-		return labelledConfig{label, cfg}
+		return labelledConfig{label: label, cfg: cfg}
 	}
 	configs := []labelledConfig{
 		mk("flat memory (paper)", false, false),
@@ -194,29 +228,17 @@ func AblatePageModeDRAM(opt Options) (AblationResult, error) {
 // against virtually-indexed L1s flushed at every context switch, on the
 // multiprogramming workload.
 func AblateFlushOnSwitch(opt Options) (AblationResult, error) {
-	res := AblationResult{Title: "L1 flushing at context switches (base machine)"}
-	for _, flush := range []bool{false, true} {
-		h, err := memsys.New(BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base()))
-		if err != nil {
-			return res, err
-		}
-		cpuCfg := opt.CPU()
-		cpuCfg.FlushOnSwitch = flush
-		run, err := cpu.Run(h, opt.Stream(), cpuCfg)
-		if err != nil {
-			return res, err
-		}
-		label := "physical L1 (no flush)"
-		if flush {
-			label = fmt.Sprintf("flush on switch (%d switches)", run.Switches)
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Label:   label,
-			Run:     run,
-			RelTime: run.RelTime,
-			CPI:     run.CPI,
-		})
+	base := func() memsys.Config {
+		return BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base())
 	}
+	res, err := runConfigs(opt, "L1 flushing at context switches (base machine)", []labelledConfig{
+		{label: "physical L1 (no flush)", cfg: base()},
+		{cfg: base(), flush: true},
+	})
+	if err != nil {
+		return res, err
+	}
+	res.Rows[1].Label = fmt.Sprintf("flush on switch (%d switches)", res.Rows[1].Run.Switches)
 	return res, nil
 }
 
@@ -232,7 +254,7 @@ func AblateTLB(opt Options) (AblationResult, error) {
 		if entries == 0 {
 			label = "no TLB (paper)"
 		}
-		configs = append(configs, labelledConfig{label, cfg})
+		configs = append(configs, labelledConfig{label: label, cfg: cfg})
 	}
 	return runConfigs(opt, "TLB reach (base machine)", configs)
 }

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"mlcache/internal/mainmem"
 )
 
 func TestAblateWriteBuffers(t *testing.T) {
@@ -190,5 +193,45 @@ func TestAblateTLB(t *testing.T) {
 	if big.Run.Mem.TLB.MissRatio() >= small.Run.Mem.TLB.MissRatio() {
 		t.Errorf("bigger TLB did not cut the miss ratio: %.4f vs %.4f",
 			big.Run.Mem.TLB.MissRatio(), small.Run.Mem.TLB.MissRatio())
+	}
+}
+
+// TestRunConfigsOrderAndFirstError: ablation configs run concurrently, but
+// rows come back in config order with the same numbers a serial run gives,
+// and of several failing configs the first in config order is reported.
+func TestRunConfigsOrderAndFirstError(t *testing.T) {
+	opt := Options{Seed: 1, Refs: 20_000, Warmup: 4_000}
+	var configs []labelledConfig
+	for _, depth := range []int{-1, 1, 2, 4, 8} {
+		cfg := BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base())
+		cfg.WBDepth = depth
+		configs = append(configs, labelledConfig{label: fmt.Sprintf("depth %d", depth), cfg: cfg})
+	}
+	opt.Parallelism = 1
+	serial, err := runConfigs(opt, "serial", configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Parallelism = 4
+	par, err := runConfigs(opt, "parallel", configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range configs {
+		if par.Rows[i].Label != configs[i].label || par.Rows[i].Run.TimeNS != serial.Rows[i].Run.TimeNS {
+			t.Errorf("row %d = %q/%d ns, want %q/%d ns", i, par.Rows[i].Label, par.Rows[i].Run.TimeNS,
+				configs[i].label, serial.Rows[i].Run.TimeNS)
+		}
+	}
+
+	bad := func(label string) labelledConfig {
+		cfg := BaseMachine(4, L2Config(3000, 3*CPUCycleNS, 1), mainmem.Base())
+		return labelledConfig{label: label, cfg: cfg}
+	}
+	broken := append([]labelledConfig{configs[0], bad("first bad")}, configs[1:]...)
+	broken = append(broken, bad("second bad"))
+	_, err = runConfigs(opt, "broken", broken)
+	if err == nil || !strings.Contains(err.Error(), "first bad") {
+		t.Errorf("err = %v, want the first failing config's", err)
 	}
 }

@@ -12,6 +12,9 @@
 package experiments
 
 import (
+	"errors"
+	"io"
+
 	"mlcache/internal/cache"
 	"mlcache/internal/cpu"
 	"mlcache/internal/mainmem"
@@ -48,6 +51,26 @@ func QuickOptions() Options {
 // Stream returns the experiment workload; every call yields the same
 // references for a given Options value.
 func (o Options) Stream() trace.Stream { return synth.PaperStream(o.Seed, o.Refs) }
+
+// Arena materializes the workload once, for an experiment that runs
+// several simulations over it. The stream's length is known, so the
+// backing array is allocated once at its final size. Each experiment
+// function scopes its arena to one call, so a Context that outlives a
+// figure does not keep its trace alive.
+func (o Options) Arena() (*trace.Arena, error) {
+	refs := make([]trace.Ref, 0, max(o.Refs, 0))
+	s := o.Stream()
+	for {
+		r, err := s.Next()
+		if errors.Is(err, io.EOF) {
+			return trace.NewArena(refs), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		refs = append(refs, r)
+	}
+}
 
 // CPU returns the CPU configuration for the options.
 func (o Options) CPU() cpu.Config {

@@ -43,14 +43,20 @@ type MissRatioResult struct {
 // size is varied, with the default 3-CPU-cycle L2.
 func MissRatios(l1TotalKB int, sizesBytes []int64, opt Options) (MissRatioResult, error) {
 	res := MissRatioResult{L1TotalKB: l1TotalKB}
+	arena, err := opt.Arena()
+	if err != nil {
+		return res, err
+	}
 
-	// Two-level runs across the sizes.
+	// Two-level runs across the sizes: every point shares the L1, so one
+	// captured boundary stream serves them all.
 	twoLevel := sweep.Runner{
 		Configure: func(pt sweep.Point) memsys.Config {
 			return BaseMachine(l1TotalKB, L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mainmem.Base())
 		},
-		Trace:       opt.Stream,
+		Arena:       arena,
 		CPU:         opt.CPU(),
+		Plan:        sweep.PlanOnePass,
 		Parallelism: opt.Parallelism,
 	}
 	var pts []sweep.Point
@@ -62,12 +68,13 @@ func MissRatios(l1TotalKB int, sizesBytes []int64, opt Options) (MissRatioResult
 		return res, fmt.Errorf("two-level runs: %w", err)
 	}
 
-	// Solo runs: the L2 alone in the system.
+	// Solo runs: the L2 alone in the system. Each point has its own first
+	// level, so there is nothing to replay.
 	solo := sweep.Runner{
 		Configure: func(pt sweep.Point) memsys.Config {
 			return SoloMachine(L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mainmem.Base())
 		},
-		Trace:       opt.Stream,
+		Arena:       arena,
 		CPU:         opt.CPU(),
 		Parallelism: opt.Parallelism,
 	}

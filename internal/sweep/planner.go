@@ -151,9 +151,10 @@ func (r Runner) runOnePass(ctx context.Context, pts []Point, opts Options) ([]Re
 	}
 	shared := &gridTrace{runner: &r, ctx: ctx}
 
-	// Classification. Configure may panic for a bad point; such points take
-	// the full path, whose per-point recovery converts the panic into the
-	// same *PanicError the full engine reports.
+	// Classification. Configure may panic for a bad point: the panic
+	// becomes the same *PanicError the full engine reports, charged as the
+	// point's first attempt, and the point takes the full path, which
+	// retries it within the remaining budget.
 	cfgs := make([]memsys.Config, len(pts))
 	var fullIdx []int
 	byKey := map[upstreamKey][]int{}
@@ -162,8 +163,10 @@ func (r Runner) runOnePass(ctx context.Context, pts []Point, opts Options) ([]Re
 			results[i].Skipped = true
 			continue
 		}
-		cfg, ok := safeConfigure(r.Configure, pts[i])
-		if !ok {
+		cfg, err := safeConfigure(r.Configure, pts[i])
+		if err != nil {
+			results[i].Attempts = 1
+			results[i].Err = fmt.Errorf("sweep: point %v: %w", pts[i], err)
 			fullIdx = append(fullIdx, i)
 			continue
 		}
@@ -204,7 +207,7 @@ func (r Runner) runOnePass(ctx context.Context, pts []Point, opts Options) ([]Re
 	r.runPhase(ctx, par, orderByGeometry(pts, phase1), func(ws *workerState, i int) {
 		res := &results[i]
 		if g := groupOf[i]; g != nil {
-			r.retryPoint(ctx, opts, res, func() (cpu.Result, error) {
+			retryPoint(ctx, opts, res, func() (cpu.Result, error) {
 				run, log, err := r.runOnceCapture(ctx, opts.PointTimeout, res.Point, cfgs[i], shared, ws)
 				if err == nil {
 					g.log, g.run = log, run
@@ -234,7 +237,7 @@ func (r Runner) runOnePass(ctx context.Context, pts []Point, opts Options) ([]Re
 	r.runPhase(ctx, par, orderByGeometry(pts, phase2), func(ws *workerState, i int) {
 		res := &results[i]
 		if g := groupOf[i]; g != nil && !demoted[i] {
-			r.retryPoint(ctx, opts, res, func() (cpu.Result, error) {
+			retryPoint(ctx, opts, res, func() (cpu.Result, error) {
 				return r.runOnceReplay(ctx, opts.PointTimeout, res.Point, cfgs[i], g, ws)
 			})
 		} else {
@@ -262,14 +265,15 @@ func pivots(groups []*opGroup) []int {
 	return out
 }
 
-// safeConfigure calls configure, absorbing panics (ok == false).
-func safeConfigure(configure func(Point) memsys.Config, pt Point) (cfg memsys.Config, ok bool) {
+// safeConfigure calls configure, converting a panic into the *PanicError
+// runOnce would report for it.
+func safeConfigure(configure func(Point) memsys.Config, pt Point) (cfg memsys.Config, err error) {
 	defer func() {
-		if recover() != nil {
-			ok = false
+		if p := recover(); p != nil {
+			err = &PanicError{Point: pt, Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return configure(pt), true
+	return configure(pt), nil
 }
 
 // orderByGeometry returns idxs reordered so points sharing an L2 tag-array
@@ -318,40 +322,6 @@ feed:
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-// retryPoint wraps one attempt function in the engine's retry/backoff
-// policy, mirroring runPoint.
-func (r Runner) retryPoint(ctx context.Context, opts Options, res *Result, attempt func() (cpu.Result, error)) {
-	backoff := opts.Backoff
-	for n := 0; ; n++ {
-		if ctx.Err() != nil {
-			if res.Err == nil {
-				res.Err = ctx.Err()
-			}
-			return
-		}
-		res.Attempts = n + 1
-		run, err := attempt()
-		if err == nil {
-			res.Run, res.Err = run, nil
-			return
-		}
-		res.Err = fmt.Errorf("sweep: point %v: %w", res.Point, err)
-		if ctx.Err() != nil || n >= opts.Retries {
-			return
-		}
-		if backoff > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return
-			case <-t.C:
-			}
-			backoff *= 2
-		}
-	}
 }
 
 // runOnceCapture is runOnce with a boundary recorder attached: a normal

@@ -247,18 +247,21 @@ func TestOnePassCancellation(t *testing.T) {
 }
 
 // TestOnePassPivotFailureDemotesGroup: when the pivot's capture fails, the
-// group's members fall back to full simulation and still succeed.
+// group's other members fall back to full simulation and still succeed,
+// with the numbers the full plan gives.
 func TestOnePassPivotFailureDemotesGroup(t *testing.T) {
 	pts := gridPoints(2, 2)
 	var calls int32
 	configure := func(pt Point) memsys.Config {
-		// The pivot (first classified member, smallest size/cycle) panics on
-		// its first configuration; later calls succeed, so the demoted full
-		// simulations complete.
+		cfg := testConfigure(pt)
+		// The pivot (first classified member) is classified with an L2
+		// that memsys.New rejects, so its capture fails; every later call,
+		// including the demoted members' full simulations, gets a valid
+		// one.
 		if pt == pts[0] && atomic.AddInt32(&calls, 1) == 1 {
-			panic("transient pivot fault")
+			cfg.Down[0].Cache.SizeBytes = 3000
 		}
-		return testConfigure(pt)
+		return cfg
 	}
 	r := Runner{
 		Configure: configure,
@@ -270,9 +273,19 @@ func TestOnePassPivotFailureDemotesGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range results {
+	if results[0].OK() {
+		t.Fatal("pivot succeeded: the injected capture failure never happened")
+	}
+	full := Runner{Configure: testConfigure, Trace: testTrace, CPU: r.CPU}
+	want, err := full.RunPoints(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results[1:] {
 		if !res.OK() {
 			t.Errorf("point %v: %v", res.Point, res.Err)
+		} else if res.Run.TimeNS != want[i+1].Run.TimeNS {
+			t.Errorf("point %v: time %d ns, full plan %d ns", res.Point, res.Run.TimeNS, want[i+1].Run.TimeNS)
 		}
 	}
 }

@@ -192,7 +192,9 @@ type workerState struct {
 // (via ResetFor) when the cache geometry allows it, then falling back to
 // the shared pool (which may hold one from an earlier run), and finally to
 // fresh construction. A hierarchy displaced by a geometry change is handed
-// to the pool rather than dropped.
+// to the pool rather than dropped; without a pool it is released before
+// its replacement is built, so a collection during that (possibly
+// megabytes-large) allocation can reclaim it.
 func (ws *workerState) hierarchy(cfg memsys.Config) (*memsys.Hierarchy, error) {
 	if ws.h != nil && ws.h.ResetFor(cfg) {
 		return ws.h, nil
@@ -209,6 +211,7 @@ func (ws *workerState) hierarchy(cfg memsys.Config) (*memsys.Hierarchy, error) {
 		ws.h = h
 		return h, nil
 	}
+	ws.h = nil
 	h, err := memsys.New(cfg)
 	if err != nil {
 		return nil, err
@@ -226,38 +229,51 @@ func (ws *workerState) retire() {
 	}
 }
 
-// runPoint executes one point with the retry budget, filling res in place.
+// runPoint executes one full simulation of res.Point under the retry
+// budget, filling res in place.
 func (r Runner) runPoint(ctx context.Context, opts Options, shared *gridTrace, ws *workerState, res *Result) {
+	retryPoint(ctx, opts, res, func() (cpu.Result, error) {
+		return r.runOnce(ctx, opts.PointTimeout, res.Point, shared, ws)
+	})
+}
+
+// retryPoint runs attempt under the engine's retry/backoff policy, filling
+// res in place. An attempt already charged to res (Attempts > 0 with Err
+// set, as when the one-pass planner's classification panicked) counts
+// against the budget exactly like one made here.
+func retryPoint(ctx context.Context, opts Options, res *Result, attempt func() (cpu.Result, error)) {
 	backoff := opts.Backoff
-	for attempt := 0; ; attempt++ {
+	for {
+		if res.Attempts > 0 {
+			// The grid being cancelled is not a per-point fault; don't
+			// burn retries on it.
+			if ctx.Err() != nil || res.Attempts > opts.Retries {
+				return
+			}
+			if backoff > 0 {
+				t := time.NewTimer(backoff)
+				select {
+				case <-ctx.Done():
+					t.Stop()
+					return
+				case <-t.C:
+				}
+				backoff *= 2
+			}
+		}
 		if ctx.Err() != nil {
 			if res.Err == nil {
 				res.Err = ctx.Err()
 			}
 			return
 		}
-		res.Attempts = attempt + 1
-		run, err := r.runOnce(ctx, opts.PointTimeout, res.Point, shared, ws)
+		res.Attempts++
+		run, err := attempt()
 		if err == nil {
 			res.Run, res.Err = run, nil
 			return
 		}
 		res.Err = fmt.Errorf("sweep: point %v: %w", res.Point, err)
-		// The grid being cancelled is not a per-point fault; don't burn
-		// retries on it.
-		if ctx.Err() != nil || attempt >= opts.Retries {
-			return
-		}
-		if backoff > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return
-			case <-t.C:
-			}
-			backoff *= 2
-		}
 	}
 }
 

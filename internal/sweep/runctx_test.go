@@ -146,30 +146,42 @@ func TestRunContextPanicIsolated(t *testing.T) {
 	}
 }
 
+// TestRunContextRetries charges a transient Configure panic as the point's
+// first attempt under either plan: the one-pass planner calls Configure
+// while classifying, and that call must count against the retry budget
+// just as the full engine's first attempt does.
 func TestRunContextRetries(t *testing.T) {
-	var calls int32
-	r := Runner{
-		Configure: func(pt Point) memsys.Config {
-			if atomic.AddInt32(&calls, 1) == 1 {
-				panic("transient fault")
+	for _, plan := range []PlanMode{PlanFull, PlanOnePass} {
+		t.Run(plan.String(), func(t *testing.T) {
+			var calls int32
+			r := Runner{
+				Configure: func(pt Point) memsys.Config {
+					if atomic.AddInt32(&calls, 1) == 1 {
+						panic("transient fault")
+					}
+					return testConfigure(pt)
+				},
+				Trace: testTrace,
+				CPU:   cpu.Config{CycleNS: 10},
+				Plan:  plan,
 			}
-			return testConfigure(pt)
-		},
-		Trace: testTrace,
-		CPU:   cpu.Config{CycleNS: 10},
-	}
-	results, err := r.RunContext(context.Background(), gridPoints(1, 1), Options{
-		Retries: 2,
-		Backoff: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !results[0].OK() {
-		t.Fatalf("point failed after retries: %v", results[0].Err)
-	}
-	if results[0].Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", results[0].Attempts)
+			results, err := r.RunContext(context.Background(), gridPoints(1, 1), Options{
+				Retries: 2,
+				Backoff: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !results[0].OK() {
+				t.Fatalf("point failed after retries: %v", results[0].Err)
+			}
+			if results[0].Attempts != 2 {
+				t.Errorf("attempts = %d, want 2", results[0].Attempts)
+			}
+			if calls != 2 {
+				t.Errorf("Configure calls = %d, want 2", calls)
+			}
+		})
 	}
 }
 
