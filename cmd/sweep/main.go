@@ -523,8 +523,8 @@ func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo lo
 		defer journal.Close()
 	}
 
+	runner.Parallelism = lo.par
 	opts := sweep.Options{
-		Parallelism:  lo.par,
 		PointTimeout: lo.timeout,
 		Retries:      lo.retries,
 		Backoff:      200 * time.Millisecond,

@@ -117,6 +117,7 @@ type ArenaCache struct {
 	hits      int64
 	misses    int64
 	evictions int64
+	closed    bool // Close was called: no entry outlives its last lease
 }
 
 // NewArenaCache returns a cache bounded to budgetBytes of arena data
@@ -223,10 +224,20 @@ func (c *ArenaCache) release(e *arenaEntry) {
 	c.mu.Unlock()
 }
 
+// Close closes every unleased workload, unmapping its artifact, and makes
+// each leased one close as its last lease is released.
+func (c *ArenaCache) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	c.evictLocked()
+}
+
 // evictLocked discards least-recently-used unleased entries until the
-// budget is met. Called with c.mu held.
+// budget is met, or all of them once the cache is closed. Called with
+// c.mu held.
 func (c *ArenaCache) evictLocked() {
-	for c.used > c.budget {
+	for c.used > c.budget || c.closed {
 		var victim *arenaEntry
 		for el := c.lru.Back(); el != nil; el = el.Prev() {
 			if e := el.Value.(*arenaEntry); e.refs == 0 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -177,6 +178,61 @@ func TestArenaCacheArtifactEvictionReopen(t *testing.T) {
 	}
 	if got := arenaFingerprint(w2.Arena()); got != fp {
 		t.Errorf("re-mapped artifact fingerprint %#x, want %#x", got, fp)
+	}
+}
+
+// TestServerCloseUnmapsArtifacts: Server.Close closes the artifact of
+// every cached workload. An unleased one closes at once; one still leased
+// closes when its last lease is released.
+func TestServerCloseUnmapsArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	var specs []coord.JobSpec
+	for i, n := range []int{3000, 2000} {
+		refs := make([]trace.Ref, n)
+		for j := range refs {
+			refs[j] = trace.Ref{Addr: uint64(j * 16), Kind: trace.Load}
+		}
+		path := filepath.Join(dir, fmt.Sprintf("wl%d.mlca", i))
+		if err := trace.WriteArtifact(path, trace.NewArena(refs)); err != nil {
+			t.Fatal(err)
+		}
+		spec := synthSpec(1, 0)
+		spec.TracePath = path
+		specs = append(specs, spec)
+	}
+	s := newTestServer(t, Config{})
+	idle, _, err := s.arenas.Acquire(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	idleArt := idle.entry.artifact
+	idle.Release()
+	leased, _, err := s.arenas.Acquire(specs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	leasedArt := leased.entry.artifact
+	if idleArt == nil || leasedArt == nil {
+		t.Fatal("artifact workloads cached without their artifacts")
+	}
+	if got := s.arenas.Stats().Entries; got != 2 {
+		t.Fatalf("entries before Close = %d, want 2", got)
+	}
+
+	s.Close()
+	if err := idleArt.Pin(); err == nil {
+		t.Error("unleased artifact still open after Server.Close")
+	}
+	if err := leasedArt.Pin(); err != nil {
+		t.Fatalf("leased artifact closed under its lease: %v", err)
+	}
+	leasedArt.Unpin()
+	leased.Release()
+	if err := leasedArt.Pin(); err == nil {
+		t.Error("artifact still open after its last lease was released")
+	}
+	if got := s.arenas.Stats().Entries; got != 0 {
+		t.Errorf("entries after Close = %d, want 0", got)
 	}
 }
 

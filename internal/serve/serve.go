@@ -396,12 +396,14 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Close releases the durable journals. Call after the HTTP server has
-// shut down; a crash (the whole point of the journal) skips it harmlessly.
+// Close releases the durable journals and the cached workloads (closing
+// their artifact mappings). Call after the HTTP server has shut down; a
+// crash (the whole point of the journal) skips it harmlessly.
 func (s *Server) Close() {
 	if s.durable != nil {
 		s.durable.close()
 	}
+	s.arenas.Close()
 }
 
 // Handler returns the service's HTTP surface.

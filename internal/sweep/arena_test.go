@@ -64,29 +64,6 @@ func TestGridDecodesTraceOnce(t *testing.T) {
 	}
 }
 
-// TestStreamPerPointRedecodes pins the escape hatch: with StreamPerPoint
-// the factory is consulted for every point, the legacy behavior for traces
-// too large to materialize.
-func TestStreamPerPointRedecodes(t *testing.T) {
-	var factoryCalls atomic.Int64
-	r := Runner{
-		Configure: testConfigure,
-		Trace: func() trace.Stream {
-			factoryCalls.Add(1)
-			return synth.PaperStream(1, 2000)
-		},
-		CPU:            cpu.Config{CycleNS: 10},
-		StreamPerPoint: true,
-	}
-	g := Grid{SizesBytes: []int64{8 * 1024, 16 * 1024}, CyclesNS: []int64{10, 20}}
-	if _, err := r.Run(g); err != nil {
-		t.Fatal(err)
-	}
-	if got := factoryCalls.Load(); got != 4 {
-		t.Errorf("Trace factory called %d times, want 4 (one per point)", got)
-	}
-}
-
 // TestRunnerArenaField runs a grid straight off a pre-materialized arena;
 // Trace must never be called.
 func TestRunnerArenaField(t *testing.T) {
@@ -100,7 +77,7 @@ func TestRunnerArenaField(t *testing.T) {
 		Arena:     arena,
 		CPU:       cpu.Config{CycleNS: 10},
 	}
-	results, err := r.Run(Grid{SizesBytes: []int64{8 * 1024}, CyclesNS: []int64{10, 30}})
+	results, err := r.RunPoints(Grid{SizesBytes: []int64{8 * 1024}, CyclesNS: []int64{10, 30}}.Points())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +87,7 @@ func TestRunnerArenaField(t *testing.T) {
 	}
 	// The runner is also valid with no Trace at all.
 	r.Trace = nil
-	if _, err := r.Run(Grid{SizesBytes: []int64{8 * 1024}, CyclesNS: []int64{10}}); err != nil {
+	if _, err := r.RunPoints(Grid{SizesBytes: []int64{8 * 1024}, CyclesNS: []int64{10}}.Points()); err != nil {
 		t.Errorf("Runner with Arena but no Trace rejected: %v", err)
 	}
 }
@@ -144,10 +121,10 @@ func TestParallelSweepsIdenticalWithRandomRepl(t *testing.T) {
 			CPU:         cpu.Config{CycleNS: 10, WarmupRefs: 4000},
 			Parallelism: 4,
 		}
-		results, err := r.Run(Grid{
+		results, err := r.RunPoints(Grid{
 			SizesBytes: SizesPow2(8, 64),
 			CyclesNS:   []int64{10, 30, 50},
-		})
+		}.Points())
 		if err != nil {
 			t.Fatal(err)
 		}

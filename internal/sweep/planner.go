@@ -1,13 +1,9 @@
 package sweep
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
-	"time"
 
 	"mlcache/internal/cache"
 	"mlcache/internal/cpu"
@@ -125,56 +121,49 @@ type opGroup struct {
 	run     cpu.Result // the pivot's full result
 }
 
-// runOnePass is RunContext's PlanOnePass engine: phase 1 runs the
-// timing-sensitive points and one capturing pivot per analytic group,
-// phase 2 replays the boundary logs (and falls back to full simulation for
-// any group whose pivot failed). Per-point semantics — Skip, OnResult,
-// retries, timeouts, cancellation — match the full engine.
-func (r Runner) runOnePass(ctx context.Context, pts []Point, opts Options) ([]Result, error) {
-	par := opts.Parallelism
-	if par <= 0 {
-		par = r.Parallelism
-	}
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(pts) {
-		par = len(pts)
-	}
-	if par < 1 {
-		par = 1
-	}
+// plan is a classified grid. Phase 1 simulates the timing-sensitive points
+// and one capturing pivot per analytic group; phase 2 replays each group's
+// log to its other members, or simulates them in full if the pivot failed.
+type plan struct {
+	phase1, phase2 []int
+	group          []*opGroup      // group[i]: the group point i belongs to, if any
+	cfg            []memsys.Config // cfg[i]: point i's configuration, for grouped points
+}
 
-	results := make([]Result, len(pts))
-	for i, pt := range pts {
-		results[i] = Result{Point: pt}
+// classify marks skipped points in results and plans the rest. PlanFull is
+// the plan with no groups: every other point goes to phase 1 and Configure
+// is left to each attempt. PlanOnePass calls Configure once per point to
+// classify it. A Configure panic there becomes the same *PanicError a full
+// attempt reports, charged as the point's first attempt, and the point
+// takes the full path, which retries it within the remaining budget.
+func (r Runner) classify(pts []Point, opts Options, results []Result) plan {
+	p := plan{group: make([]*opGroup, len(pts))}
+	onePass := r.Plan == PlanOnePass
+	if onePass {
+		p.cfg = make([]memsys.Config, len(pts))
 	}
-	shared := &gridTrace{runner: &r, ctx: ctx}
-
-	// Classification. Configure may panic for a bad point: the panic
-	// becomes the same *PanicError the full engine reports, charged as the
-	// point's first attempt, and the point takes the full path, which
-	// retries it within the remaining budget.
-	cfgs := make([]memsys.Config, len(pts))
-	var fullIdx []int
 	byKey := map[upstreamKey][]int{}
 	for i := range pts {
 		if opts.Skip != nil && opts.Skip(pts[i]) {
 			results[i].Skipped = true
 			continue
 		}
+		if !onePass {
+			p.phase1 = append(p.phase1, i)
+			continue
+		}
 		cfg, err := safeConfigure(r.Configure, pts[i])
 		if err != nil {
 			results[i].Attempts = 1
 			results[i].Err = fmt.Errorf("sweep: point %v: %w", pts[i], err)
-			fullIdx = append(fullIdx, i)
+			p.phase1 = append(p.phase1, i)
 			continue
 		}
-		cfgs[i] = cfg
 		if analyticReason(cfg, r.CPU) != "" {
-			fullIdx = append(fullIdx, i)
+			p.phase1 = append(p.phase1, i)
 			continue
 		}
+		p.cfg[i] = cfg
 		k := upstreamKeyOf(cfg)
 		byKey[k] = append(byKey[k], i)
 	}
@@ -182,91 +171,25 @@ func (r Runner) runOnePass(ctx context.Context, pts []Point, opts Options) ([]Re
 	for _, members := range byKey {
 		if len(members) < 2 {
 			// A lone analytic point gains nothing from capture overhead.
-			fullIdx = append(fullIdx, members...)
+			p.phase1 = append(p.phase1, members...)
 			continue
 		}
 		groups = append(groups, &opGroup{pivot: members[0], replays: members[1:]})
 	}
 	sort.Slice(groups, func(a, b int) bool { return groups[a].pivot < groups[b].pivot })
-	groupOf := map[int]*opGroup{}
 	for _, g := range groups {
-		groupOf[g.pivot] = g
-	}
-
-	var onResultMu sync.Mutex
-	report := func(res *Result) {
-		if res.Err == nil && opts.OnResult != nil {
-			onResultMu.Lock()
-			opts.OnResult(*res)
-			onResultMu.Unlock()
-		}
-	}
-
-	// Phase 1: timing-sensitive points plus one capturing pivot per group.
-	phase1 := append(append([]int{}, fullIdx...), pivots(groups)...)
-	r.runPhase(ctx, par, orderByGeometry(pts, phase1), func(ws *workerState, i int) {
-		res := &results[i]
-		if g := groupOf[i]; g != nil {
-			retryPoint(ctx, opts, res, func() (cpu.Result, error) {
-				run, log, err := r.runOnceCapture(ctx, opts.PointTimeout, res.Point, cfgs[i], shared, ws)
-				if err == nil {
-					g.log, g.run = log, run
-				}
-				return run, err
-			})
-		} else {
-			r.runPoint(ctx, opts, shared, ws, res)
-		}
-		report(res)
-	})
-
-	// Phase 2: replays, plus full simulation for members of any group whose
-	// pivot failed (its capture never completed).
-	var phase2 []int
-	demoted := map[int]bool{}
-	for _, g := range groups {
+		p.phase1 = append(p.phase1, g.pivot)
+		p.group[g.pivot] = g
 		for _, i := range g.replays {
-			phase2 = append(phase2, i)
-			if g.log == nil {
-				demoted[i] = true
-			} else {
-				groupOf[i] = g
-			}
+			p.phase2 = append(p.phase2, i)
+			p.group[i] = g
 		}
 	}
-	r.runPhase(ctx, par, orderByGeometry(pts, phase2), func(ws *workerState, i int) {
-		res := &results[i]
-		if g := groupOf[i]; g != nil && !demoted[i] {
-			retryPoint(ctx, opts, res, func() (cpu.Result, error) {
-				return r.runOnceReplay(ctx, opts.PointTimeout, res.Point, cfgs[i], g, ws)
-			})
-		} else {
-			r.runPoint(ctx, opts, shared, ws, res)
-		}
-		report(res)
-	})
-
-	if err := ctx.Err(); err != nil {
-		for i := range results {
-			if results[i].Attempts == 0 && !results[i].Skipped {
-				results[i].Err = err
-			}
-		}
-		return results, err
-	}
-	return results, nil
-}
-
-func pivots(groups []*opGroup) []int {
-	out := make([]int, len(groups))
-	for j, g := range groups {
-		out[j] = g.pivot
-	}
-	return out
+	return p
 }
 
 // safeConfigure calls configure, converting a panic into the *PanicError
-// runOnce would report for it.
+// an attempt would report for it.
 func safeConfigure(configure func(Point) memsys.Config, pt Point) (cfg memsys.Config, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -276,113 +199,14 @@ func safeConfigure(configure func(Point) memsys.Config, pt Point) (cfg memsys.Co
 	return configure(pt), nil
 }
 
-// orderByGeometry returns idxs reordered so points sharing an L2 tag-array
-// shape are adjacent, preserving the full engine's ResetFor reuse.
-func orderByGeometry(pts []Point, idxs []int) []int {
-	sub := make([]Point, len(idxs))
-	for j, i := range idxs {
-		sub[j] = pts[i]
-	}
-	out := make([]int, len(idxs))
-	for j, p := range GeometryOrder(sub) {
-		out[j] = idxs[p]
-	}
-	return out
-}
-
-// runPhase drains one phase's indices through a worker pool. Each worker
-// owns reusable hierarchy state exactly like the full engine's workers.
-func (r Runner) runPhase(ctx context.Context, par int, order []int, work func(*workerState, int)) {
-	if len(order) == 0 {
-		return
-	}
-	if par > len(order) {
-		par = len(order)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := &workerState{pool: r.Pool}
-			defer ws.retire()
-			for i := range jobs {
-				work(ws, i)
-			}
-		}()
-	}
-feed:
-	for _, i := range order {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-}
-
-// runOnceCapture is runOnce with a boundary recorder attached: a normal
-// full simulation of the pivot whose byproduct is the group's DownLog.
-func (r Runner) runOnceCapture(ctx context.Context, timeout time.Duration, pt Point, hcfg memsys.Config, shared *gridTrace, ws *workerState) (run cpu.Result, log *memsys.DownLog, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			ws.h = nil
-			err = &PanicError{Point: pt, Value: p, Stack: debug.Stack()}
-		}
-	}()
-	pctx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	h, err := ws.hierarchy(hcfg)
-	if err != nil {
-		return cpu.Result{}, nil, err
-	}
-	s, err := shared.source()
-	if err != nil {
-		return cpu.Result{}, nil, err
-	}
-	rec := memsys.NewDownRecorder()
-	h.SetTap(rec)
-	defer h.SetTap(nil) // the hierarchy is reused for later points
-	cfg := r.CPU
-	cfg.Interrupt = pctx.Err
-	cfg.OnRecordingStart = rec.MarkRecordingStart
-	if cfg.WarmupRefs == 0 {
-		rec.MarkRecordingStart(0)
-	}
-	run, err = cpu.Run(h, s, cfg)
-	if err != nil {
-		return run, nil, err
-	}
-	return run, rec.Finish(run.TimeNS), nil
-}
-
-// runOnceReplay evaluates one analytic point by replaying its group's
-// boundary log through the point's own downstream machinery.
-func (r Runner) runOnceReplay(ctx context.Context, timeout time.Duration, pt Point, hcfg memsys.Config, g *opGroup, ws *workerState) (run cpu.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			ws.h = nil
-			err = &PanicError{Point: pt, Value: p, Stack: debug.Stack()}
-		}
-	}()
-	pctx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// replay evaluates one analytic point by replaying its group's boundary
+// log through the point's own downstream machinery.
+func replay(hcfg memsys.Config, g *opGroup, ws *workerState, interrupt func() error) (cpu.Result, error) {
 	h, err := ws.hierarchy(hcfg)
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	timeNS, err := h.ReplayDown(g.log, pctx.Err)
+	timeNS, err := h.ReplayDown(g.log, interrupt)
 	if err != nil {
 		return cpu.Result{}, err
 	}

@@ -213,20 +213,20 @@ func TestOnePassSkipAndOnResult(t *testing.T) {
 }
 
 // TestOnePassCancellation: cancelling mid-grid returns the completed
-// prefix with ctx errors on the rest, like the full engine.
+// prefix with ctx errors on the rest, like the full plan.
 func TestOnePassCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var completed int32
 	r := Runner{
-		Configure: testConfigure,
-		Trace:     testTrace,
-		Plan:      PlanOnePass,
-		CPU:       cpu.Config{CycleNS: 10},
+		Configure:   testConfigure,
+		Trace:       testTrace,
+		Plan:        PlanOnePass,
+		CPU:         cpu.Config{CycleNS: 10},
+		Parallelism: 1,
 	}
 	pts := gridPoints(4, 2)
 	results, err := r.RunContext(ctx, pts, Options{
-		Parallelism: 1,
 		OnResult: func(Result) {
 			if atomic.AddInt32(&completed, 1) == 2 {
 				cancel()

@@ -16,9 +16,6 @@ import (
 
 // Options tunes the fault-tolerant sweep engine.
 type Options struct {
-	// Parallelism bounds concurrent simulations; <= 0 means the Runner's
-	// Parallelism, falling back to GOMAXPROCS.
-	Parallelism int
 	// PointTimeout bounds one simulation attempt; 0 means no limit. A
 	// point that exceeds it fails with context.DeadlineExceeded (wrapped
 	// in its Result.Err) without disturbing the rest of the grid.
@@ -61,6 +58,11 @@ func (e *PanicError) Error() string {
 // the next reference-stream check and returns the completed prefix — the
 // partial results are valid and, with Options.OnResult journaling them,
 // resumable. The returned error is nil unless ctx was cancelled.
+//
+// There is one engine for both plans: classify the points (see plan), run
+// phase 1 — full simulations and capturing pivots — then phase 2 — the
+// replays, and full simulations of any group whose pivot failed. PlanFull
+// is the plan with no groups, so its phase 2 is empty.
 func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Result, error) {
 	if r.Configure == nil || (r.Trace == nil && r.Arena == nil) {
 		return nil, fmt.Errorf("sweep: Runner needs Configure and Trace (or Arena)")
@@ -68,72 +70,43 @@ func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Re
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if r.Plan == PlanOnePass && !r.StreamPerPoint {
-		return r.runOnePass(ctx, pts, opts)
-	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = r.Parallelism
-	}
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(pts) {
-		par = len(pts)
-	}
-	if par < 1 {
-		par = 1
-	}
-
 	results := make([]Result, len(pts))
 	for i, pt := range pts {
 		results[i] = Result{Point: pt}
 	}
-
-	jobs := make(chan int)
+	p := r.classify(pts, opts, results)
 	shared := &gridTrace{runner: &r, ctx: ctx}
-	var onResultMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns one reusable hierarchy: grid neighbors that
-			// share cache geometry are simulated by Reset instead of
-			// reallocating tag arrays. With a Runner.Pool the hierarchy
-			// outlives this run for the next job over the same geometry.
-			ws := &workerState{pool: r.Pool}
-			defer ws.retire()
-			for i := range jobs {
-				res := &results[i]
-				if opts.Skip != nil && opts.Skip(res.Point) {
-					res.Skipped = true
-					continue
-				}
-				r.runPoint(ctx, opts, shared, ws, res)
-				if res.Err == nil && opts.OnResult != nil {
-					onResultMu.Lock()
-					opts.OnResult(*res)
-					onResultMu.Unlock()
-				}
-			}
-		}()
-	}
 
-	// Points are fed in geometry order, not input order: grouping the grid
-	// by tag-array shape turns almost every worker transition into a
-	// timing-only ResetFor. Results stay in input order regardless, so the
-	// rendered table is byte-identical either way.
-feed:
-	for _, i := range GeometryOrder(pts) {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
+	var onResultMu sync.Mutex
+	work := func(ws *workerState, i int) {
+		res := &results[i]
+		g := p.group[i]
+		retryPoint(ctx, opts, ws, res, func(interrupt func() error) (cpu.Result, error) {
+			switch {
+			case g != nil && g.pivot == i:
+				rec := memsys.NewDownRecorder()
+				run, err := r.simulate(p.cfg[i], shared, ws, interrupt, rec)
+				if err == nil {
+					g.log, g.run = rec.Finish(run.TimeNS), run
+				}
+				return run, err
+			case g != nil && g.log != nil:
+				return replay(p.cfg[i], g, ws, interrupt)
+			default:
+				// A timing-sensitive point, or a member of a group whose
+				// pivot failed to capture: Configure is called once per
+				// attempt, and the trace runs end to end.
+				return r.simulate(r.Configure(res.Point), shared, ws, interrupt, nil)
+			}
+		})
+		if res.Err == nil && opts.OnResult != nil {
+			onResultMu.Lock()
+			opts.OnResult(*res)
+			onResultMu.Unlock()
 		}
 	}
-	close(jobs)
-	wg.Wait()
+	r.runPhase(ctx, pts, p.phase1, work)
+	r.runPhase(ctx, pts, p.phase2, work)
 
 	if err := ctx.Err(); err != nil {
 		// Points never attempted inherit the cancellation error so the
@@ -148,11 +121,59 @@ feed:
 	return results, nil
 }
 
+// runPhase drains one phase's point indices through a worker pool of
+// Runner.Parallelism workers (0 means GOMAXPROCS). Points are fed in
+// geometry order, not input order: grouping by tag-array shape turns almost
+// every worker transition into a timing-only ResetFor. Results stay in
+// input order regardless, so the rendered table is byte-identical either
+// way. Feeding stops when ctx is cancelled.
+func (r Runner) runPhase(ctx context.Context, pts []Point, idxs []int, work func(*workerState, int)) {
+	if len(idxs) == 0 {
+		return
+	}
+	par := r.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	par = min(par, len(idxs))
+	sub := make([]Point, len(idxs))
+	for j, i := range idxs {
+		sub[j] = pts[i]
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each worker owns one reusable hierarchy: grid neighbors that
+			// share cache geometry are simulated by Reset instead of
+			// reallocating tag arrays. With a Runner.Pool the hierarchy
+			// outlives this run for the next job over the same geometry.
+			ws := &workerState{pool: r.Pool}
+			defer ws.retire()
+			for i := range jobs {
+				work(ws, i)
+			}
+		}()
+	}
+feed:
+	for _, j := range GeometryOrder(sub) {
+		select {
+		case jobs <- idxs[j]:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(jobs)
+	wg.Wait()
+}
+
 // gridTrace owns the grid's shared trace: the runner's stream is
 // materialized into an immutable arena exactly once (by whichever worker
 // gets there first), and every point reads it through an independent
-// zero-copy cursor. With StreamPerPoint set it degrades to the legacy
-// fresh-stream-per-point behavior.
+// zero-copy cursor. Nothing is materialized until some attempt needs the
+// trace, so a grid whose points are all skipped never reads it.
 type gridTrace struct {
 	runner *Runner
 	ctx    context.Context
@@ -163,9 +184,6 @@ type gridTrace struct {
 
 // source returns the reference source for one simulation attempt.
 func (g *gridTrace) source() (trace.Stream, error) {
-	if g.runner.StreamPerPoint && g.runner.Arena == nil {
-		return g.runner.Trace(), nil
-	}
 	g.once.Do(func() {
 		if g.runner.Arena != nil {
 			g.arena = g.runner.Arena
@@ -229,19 +247,11 @@ func (ws *workerState) retire() {
 	}
 }
 
-// runPoint executes one full simulation of res.Point under the retry
-// budget, filling res in place.
-func (r Runner) runPoint(ctx context.Context, opts Options, shared *gridTrace, ws *workerState, res *Result) {
-	retryPoint(ctx, opts, res, func() (cpu.Result, error) {
-		return r.runOnce(ctx, opts.PointTimeout, res.Point, shared, ws)
-	})
-}
-
-// retryPoint runs attempt under the engine's retry/backoff policy, filling
-// res in place. An attempt already charged to res (Attempts > 0 with Err
-// set, as when the one-pass planner's classification panicked) counts
-// against the budget exactly like one made here.
-func retryPoint(ctx context.Context, opts Options, res *Result, attempt func() (cpu.Result, error)) {
+// retryPoint runs attempts of res.Point's simulation under the engine's
+// retry/backoff policy, filling res in place. An attempt already charged
+// to res (Attempts > 0 with Err set, as when the one-pass classification
+// panicked) counts against the budget exactly like one made here.
+func retryPoint(ctx context.Context, opts Options, ws *workerState, res *Result, body func(interrupt func() error) (cpu.Result, error)) {
 	backoff := opts.Backoff
 	for {
 		if res.Attempts > 0 {
@@ -268,7 +278,7 @@ func retryPoint(ctx context.Context, opts Options, res *Result, attempt func() (
 			return
 		}
 		res.Attempts++
-		run, err := attempt()
+		run, err := attempt(ctx, opts.PointTimeout, ws, res.Point, body)
 		if err == nil {
 			res.Run, res.Err = run, nil
 			return
@@ -277,10 +287,10 @@ func retryPoint(ctx context.Context, opts Options, res *Result, attempt func() (
 	}
 }
 
-// runOnce performs a single simulation attempt, converting panics into a
-// *PanicError and honoring the per-point timeout through the CPU loop's
-// per-batch Interrupt check.
-func (r Runner) runOnce(ctx context.Context, timeout time.Duration, pt Point, shared *gridTrace, ws *workerState) (run cpu.Result, err error) {
+// attempt makes one simulation attempt. body gets an interrupt that
+// reports the grid's cancellation or the per-point timeout, and a panic in
+// it becomes a *PanicError.
+func attempt(ctx context.Context, timeout time.Duration, ws *workerState, pt Point, body func(interrupt func() error) (cpu.Result, error)) (run cpu.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			// A panic may have left the cached hierarchy mid-update; drop
@@ -289,13 +299,19 @@ func (r Runner) runOnce(ctx context.Context, timeout time.Duration, pt Point, sh
 			err = &PanicError{Point: pt, Value: p, Stack: debug.Stack()}
 		}
 	}()
-	pctx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	h, err := ws.hierarchy(r.Configure(pt))
+	return body(ctx.Err)
+}
+
+// simulate runs the whole trace through a hierarchy for hcfg. With rec
+// non-nil it also records the first-level boundary stream — the capture
+// that a one-pass group's pivot makes.
+func (r Runner) simulate(hcfg memsys.Config, shared *gridTrace, ws *workerState, interrupt func() error, rec *memsys.DownRecorder) (cpu.Result, error) {
+	h, err := ws.hierarchy(hcfg)
 	if err != nil {
 		return cpu.Result{}, err
 	}
@@ -304,7 +320,15 @@ func (r Runner) runOnce(ctx context.Context, timeout time.Duration, pt Point, sh
 		return cpu.Result{}, err
 	}
 	cfg := r.CPU
-	cfg.Interrupt = pctx.Err
+	cfg.Interrupt = interrupt
+	if rec != nil {
+		h.SetTap(rec)
+		defer h.SetTap(nil) // the hierarchy is reused for later points
+		cfg.OnRecordingStart = rec.MarkRecordingStart
+		if cfg.WarmupRefs == 0 {
+			rec.MarkRecordingStart(0)
+		}
+	}
 	return cpu.Run(h, s, cfg)
 }
 

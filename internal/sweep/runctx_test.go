@@ -15,16 +15,6 @@ import (
 	"mlcache/internal/trace"
 )
 
-// endless yields instruction fetches forever; only cancellation (via the
-// engine's watch stream) can stop a simulation consuming it.
-func endless() trace.Stream {
-	var addr uint64
-	return trace.Func(func() (trace.Ref, error) {
-		addr += 4
-		return trace.Ref{Kind: trace.IFetch, Addr: addr % (1 << 14)}, nil
-	})
-}
-
 func gridPoints(sizes, cycles int) []Point {
 	var pts []Point
 	for i := 0; i < sizes; i++ {
@@ -69,13 +59,13 @@ func TestRunContextCancelMidGrid(t *testing.T) {
 	defer cancel()
 	var completed int32
 	r := Runner{
-		Configure: testConfigure,
-		Trace:     testTrace,
-		CPU:       cpu.Config{CycleNS: 10},
+		Configure:   testConfigure,
+		Trace:       testTrace,
+		CPU:         cpu.Config{CycleNS: 10},
+		Parallelism: 1,
 	}
 	pts := gridPoints(4, 2)
 	results, err := r.RunContext(ctx, pts, Options{
-		Parallelism: 1,
 		OnResult: func(Result) {
 			if atomic.AddInt32(&completed, 1) == 3 {
 				cancel()
@@ -116,11 +106,12 @@ func TestRunContextPanicIsolated(t *testing.T) {
 			}
 			return testConfigure(pt)
 		},
-		Trace: testTrace,
-		CPU:   cpu.Config{CycleNS: 10},
+		Trace:       testTrace,
+		CPU:         cpu.Config{CycleNS: 10},
+		Parallelism: 2,
 	}
 	pts := gridPoints(2, 2) // includes bad: sizes {8K,16K} × cycles {10,20}
-	results, err := r.RunContext(context.Background(), pts, Options{Parallelism: 2})
+	results, err := r.RunContext(context.Background(), pts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +140,7 @@ func TestRunContextPanicIsolated(t *testing.T) {
 // TestRunContextRetries charges a transient Configure panic as the point's
 // first attempt under either plan: the one-pass planner calls Configure
 // while classifying, and that call must count against the retry budget
-// just as the full engine's first attempt does.
+// just as the full plan's first attempt does.
 func TestRunContextRetries(t *testing.T) {
 	for _, plan := range []PlanMode{PlanFull, PlanOnePass} {
 		t.Run(plan.String(), func(t *testing.T) {
@@ -185,18 +176,25 @@ func TestRunContextRetries(t *testing.T) {
 	}
 }
 
+// TestRunContextPointTimeout: a per-point timeout fails only its own
+// point, through the CPU loop's per-batch Interrupt check, and leaves the
+// grid error nil.
 func TestRunContextPointTimeout(t *testing.T) {
+	var addr uint64
+	arena, err := trace.Materialize(trace.Limit(trace.Func(func() (trace.Ref, error) {
+		addr += 4
+		return trace.Ref{Kind: trace.IFetch, Addr: addr % (1 << 14)}, nil
+	}), 1_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := Runner{
 		Configure: testConfigure,
-		Trace:     endless,
-		// An endless trace cannot be materialized into the shared arena;
-		// unbounded streams must opt out of decode-once. The timeout is
-		// then enforced by the CPU loop's per-batch Interrupt check.
-		StreamPerPoint: true,
-		CPU:            cpu.Config{CycleNS: 10},
+		Arena:     arena,
+		CPU:       cpu.Config{CycleNS: 10},
 	}
 	results, err := r.RunContext(context.Background(), gridPoints(1, 1), Options{
-		PointTimeout: 30 * time.Millisecond,
+		PointTimeout: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatalf("grid error = %v, want nil (timeout is per-point)", err)
@@ -224,8 +222,9 @@ func TestResumeAfterInterrupt(t *testing.T) {
 				}
 				return testConfigure(pt)
 			},
-			Trace: func() trace.Stream { return trace.Limit(testTrace(), 4000) },
-			CPU:   cpu.Config{CycleNS: 10},
+			Trace:       func() trace.Stream { return trace.Limit(testTrace(), 4000) },
+			CPU:         cpu.Config{CycleNS: 10},
+			Parallelism: 2,
 		}
 	}
 	ckptPath := filepath.Join(t.TempDir(), "sweep.ckpt")
@@ -238,7 +237,6 @@ func TestResumeAfterInterrupt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var phase1 int32
 	_, err = mk().RunContext(ctx, pts, Options{
-		Parallelism: 2,
 		OnResult: func(res Result) {
 			if err := j.Append(res.Point.String(), res.Run); err != nil {
 				t.Errorf("journal: %v", err)
@@ -265,9 +263,8 @@ func TestResumeAfterInterrupt(t *testing.T) {
 	}
 	var resimulated int32
 	results, err := mk().RunContext(context.Background(), pts, Options{
-		Parallelism: 2,
-		Skip:        func(pt Point) bool { return set.Has(pt.String()) },
-		OnResult:    func(Result) { atomic.AddInt32(&resimulated, 1) },
+		Skip:     func(pt Point) bool { return set.Has(pt.String()) },
+		OnResult: func(Result) { atomic.AddInt32(&resimulated, 1) },
 	})
 	if err != nil {
 		t.Fatal(err)

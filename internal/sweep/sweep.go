@@ -165,29 +165,22 @@ func CyclesRange(lo, hi int, cpuCycleNS int64) []int64 {
 type Runner struct {
 	// Configure builds the hierarchy configuration for a point.
 	Configure func(Point) memsys.Config
-	// Trace returns a fresh stream for a run; it must yield the same
-	// references on every call so that points are comparable. By default
-	// the engine calls it once per grid, materializes the result into a
-	// shared trace.Arena, and hands every point a zero-copy cursor — the
-	// trace is decoded exactly once no matter how many points run. The
-	// stream must therefore be finite; unbounded or won't-fit-in-memory
-	// traces must set StreamPerPoint.
+	// Trace returns the grid's reference stream. The engine calls it at
+	// most once per grid, materializes the result into a shared
+	// trace.Arena, and hands every point a zero-copy cursor — the trace is
+	// decoded exactly once no matter how many points run. The stream must
+	// therefore be finite.
 	Trace func() trace.Stream
 	// Arena, when non-nil, is used directly as the shared trace and Trace
 	// is never called. Callers running several grids over the same
 	// workload materialize once and share it here.
 	Arena *trace.Arena
-	// StreamPerPoint disables the shared arena: every point calls Trace
-	// afresh, re-decoding or re-generating the workload. The escape hatch
-	// for traces too large to hold in memory.
-	StreamPerPoint bool
-	CPU            cpu.Config
+	CPU   cpu.Config
 	// Plan selects the evaluation strategy: PlanFull simulates every point
 	// end to end; PlanOnePass captures the first-level boundary stream once
 	// per group of analytic points and replays it for the rest, producing
 	// bit-identical tables in a fraction of the trace passes (see
-	// planner.go). One-pass needs the shared arena, so StreamPerPoint
-	// forces the full plan.
+	// planner.go).
 	Plan PlanMode
 	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
 	Parallelism int
@@ -217,11 +210,6 @@ type Result struct {
 
 // OK reports whether the point was simulated successfully in this run.
 func (r Result) OK() bool { return r.Err == nil && !r.Skipped }
-
-// Run simulates every point of the grid and returns results in grid order.
-func (r Runner) Run(grid Grid) ([]Result, error) {
-	return r.RunPoints(grid.Points())
-}
 
 // RunPoints simulates the given points and returns results in input order.
 // It is the strict all-or-nothing interface: the first per-point failure is

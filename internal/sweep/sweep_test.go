@@ -93,7 +93,7 @@ func TestRunnerRunsGrid(t *testing.T) {
 		Trace:     testTrace,
 		CPU:       cpu.Config{CycleNS: 10, WarmupRefs: 5000},
 	}
-	results, err := r.Run(g)
+	results, err := r.RunPoints(g.Points())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestRunnerDeterministic(t *testing.T) {
 		CPU:         cpu.Config{CycleNS: 10},
 		Parallelism: 4,
 	}
-	a, err := r.Run(g)
+	a, err := r.RunPoints(g.Points())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(g)
+	b, err := r.RunPoints(g.Points())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRunnerDeterministic(t *testing.T) {
 }
 
 func TestRunnerErrors(t *testing.T) {
-	if _, err := (Runner{}).Run(Grid{SizesBytes: []int64{1024}, CyclesNS: []int64{10}}); err == nil {
+	if _, err := (Runner{}).RunPoints(Grid{SizesBytes: []int64{1024}, CyclesNS: []int64{10}}.Points()); err == nil {
 		t.Error("Runner without Configure/Trace accepted")
 	}
 	bad := Runner{
@@ -156,7 +156,7 @@ func TestRunnerErrors(t *testing.T) {
 		Trace: testTrace,
 		CPU:   cpu.Config{CycleNS: 10},
 	}
-	if _, err := bad.Run(Grid{SizesBytes: []int64{8192}, CyclesNS: []int64{10}}); err == nil {
+	if _, err := bad.RunPoints(Grid{SizesBytes: []int64{8192}, CyclesNS: []int64{10}}.Points()); err == nil {
 		t.Error("invalid config not propagated")
 	}
 }
